@@ -158,7 +158,8 @@ pub fn source_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
                 if matches!(
                     name.as_ref(),
                     "target" | ".git" | "tests" | "benches" | "examples" | "fixtures"
-                ) {
+                ) || is_separate_workspace(&path)
+                {
                     continue;
                 }
                 stack.push(path);
@@ -169,6 +170,13 @@ pub fn source_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     }
     out.sort();
     Ok(out)
+}
+
+/// A directory with a `[workspace]` manifest of its own (the end-to-end
+/// benchmark package) is a separate workspace, not part of this one.
+fn is_separate_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
 }
 
 /// Runs all passes over the tree at `root`.

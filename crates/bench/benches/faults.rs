@@ -29,15 +29,14 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::{
-    client_for, serve_tcp_concurrent_with, ClientConfig, CloudServer, EncryptedClient, SecretKey,
-    ServerConfig,
+    client_for, ClientConfig, CloudServer, EncryptedClient, SecretKey, ServerConfig,
 };
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, RoutingStrategy};
 use simcloud_storage::MemoryStore;
 use simcloud_transport::{
-    Direction, FaultAction, FaultRule, FaultScript, RetryPolicy, ServeOptions, TcpClientConfig,
-    TcpTransport, Transport,
+    serve_tcp_shared_with, Direction, FaultAction, FaultRule, FaultScript, RetryPolicy,
+    ServeOptions, TcpClientConfig, TcpTransport, Transport,
 };
 
 struct Config {
@@ -150,7 +149,7 @@ fn main() {
         .collect();
     owner.insert_bulk(&objects).expect("load");
     drop(owner);
-    let handle = serve_tcp_concurrent_with(
+    let handle = serve_tcp_shared_with(
         Arc::clone(&server),
         ServeOptions {
             read_timeout: Some(Duration::from_millis(500)),

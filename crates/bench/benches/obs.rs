@@ -14,9 +14,7 @@
 //! cargo bench -p simcloud-bench --bench obs -- --quick # CI scale
 //! ```
 
-use simcloud_bench::{
-    prebuild, prebuild_sharded, steady_state_encrypted, PreBuilt, RouterKind, SteadyServer, Which,
-};
+use simcloud_bench::{prebuild_with, steady_state_encrypted, PreBuilt, RouterKind, Which};
 use simcloud_core::ServerConfig;
 
 struct Config {
@@ -24,27 +22,6 @@ struct Config {
     queries: usize,
     rounds: usize,
     cand: usize,
-}
-
-fn set_enabled(server: &SteadyServer, on: bool) {
-    match server {
-        SteadyServer::Single(s) => s.telemetry().set_enabled(on),
-        SteadyServer::Sharded(s) => s.telemetry().set_enabled(on),
-    }
-}
-
-fn metrics_text(server: &SteadyServer) -> String {
-    match server {
-        SteadyServer::Single(s) => s.telemetry().metrics_text(),
-        SteadyServer::Sharded(s) => s.telemetry().metrics_text(),
-    }
-}
-
-fn slow_entries(server: &SteadyServer) -> usize {
-    match server {
-        SteadyServer::Single(s) => s.telemetry().slow_queries().len(),
-        SteadyServer::Sharded(s) => s.telemetry().slow_queries().len(),
-    }
 }
 
 /// Best-of-`pairs` interleaved throughput, in queries/second.
@@ -59,7 +36,8 @@ fn slow_entries(server: &SteadyServer) -> usize {
 fn measure(pre: &PreBuilt, cfg: &Config, pairs: usize) -> (f64, f64) {
     let k = 30;
     // One untimed pass warms caches and the bucket store before timing.
-    set_enabled(&pre.server, true);
+    let telemetry = pre.server.handler.telemetry();
+    telemetry.set_enabled(true);
     std::hint::black_box(steady_state_encrypted(pre, cfg.cand, k, 1, 1, 5));
     let (mut best_off, mut best_on) = (0.0f64, 0.0f64);
     // A CPU-steal burst during the wrong window can fake an "overhead"
@@ -72,7 +50,7 @@ fn measure(pre: &PreBuilt, cfg: &Config, pairs: usize) -> (f64, f64) {
         let seed = 7 ^ round as u64;
         for step in 0..2 {
             let on = (round + step) % 2 == 0;
-            set_enabled(&pre.server, on);
+            telemetry.set_enabled(on);
             let qps =
                 steady_state_encrypted(pre, cfg.cand, k, 1, cfg.rounds, seed).queries_per_second();
             if on {
@@ -115,22 +93,19 @@ fn main() {
     let mut json = String::from("{\n");
 
     for shards in [1usize, 4] {
-        let pre = if shards == 1 {
-            prebuild(ds.clone(), cfg.queries, 3)
-        } else {
-            prebuild_sharded(
-                ds.clone(),
-                cfg.queries,
-                3,
-                ServerConfig::default(),
-                shards,
-                RouterKind::Hash,
-            )
-        };
+        let pre = prebuild_with(
+            ds.clone(),
+            cfg.queries,
+            3,
+            ServerConfig::default(),
+            shards,
+            RouterKind::Hash,
+        );
         let (off_qps, on_qps) = measure(&pre, &cfg, pairs);
         let ratio = on_qps / off_qps;
-        let text = metrics_text(&pre.server);
-        let slow = slow_entries(&pre.server);
+        let telemetry = pre.server.handler.telemetry();
+        let text = telemetry.metrics_text();
+        let slow = telemetry.slow_queries().len();
         println!(
             "  shards={shards}  off {off_qps:>8.1} q/s  on {on_qps:>8.1} q/s  ({ratio:.3}x, \
              exposition {} B, {slow} slow-log entries)",

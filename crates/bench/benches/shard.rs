@@ -31,11 +31,10 @@
 use std::time::Duration;
 
 use simcloud_bench::{
-    concurrent_insert_throughput, prebuild, prebuild_sharded, steady_state_encrypted, PreBuilt,
+    concurrent_insert_throughput, prebuild, prebuild_with, steady_state_encrypted, PreBuilt,
     RouterKind, Which,
 };
-use simcloud_core::{client_for, ClientConfig, Neighbor, ServerConfig};
-use simcloud_shard::client_for_sharded;
+use simcloud_core::{ClientConfig, Neighbor, ServerConfig};
 
 struct Config {
     n: usize,
@@ -47,11 +46,9 @@ struct Config {
 
 /// Cumulative `candidates_generated` (the decode-work counter summed
 /// across shards) on either deployment kind.
-fn generated(server: &simcloud_bench::SteadyServer) -> u64 {
-    match server {
-        simcloud_bench::SteadyServer::Single(s) => s.total_search_stats().candidates_generated,
-        simcloud_bench::SteadyServer::Sharded(s) => s.total_search_stats().candidates_generated,
-    }
+fn generated(pre: &PreBuilt) -> u64 {
+    let telemetry = pre.server.handler.telemetry();
+    telemetry.total_search_stats().candidates_generated
 }
 
 fn assert_identical(label: &str, sharded: &[Neighbor], single: &[Neighbor]) {
@@ -74,26 +71,13 @@ fn assert_identical(label: &str, sharded: &[Neighbor], single: &[Neighbor]) {
 /// deployment (same data, same key, same queries) and asserts byte-equal
 /// answers.
 fn identity_check(single: &PreBuilt, sharded: &PreBuilt, k: usize, label: &str) {
-    let mut sc = match &single.server {
-        simcloud_bench::SteadyServer::Single(s) => client_for(
-            single.key.clone(),
-            single.dataset.metric.clone(),
-            std::sync::Arc::clone(s),
-            ClientConfig::distances(),
-        )
-        .with_rng_seed(17),
-        _ => unreachable!("reference deployment is single-index"),
-    };
-    let mut hc = match &sharded.server {
-        simcloud_bench::SteadyServer::Sharded(s) => client_for_sharded(
-            sharded.key.clone(),
-            sharded.dataset.metric.clone(),
-            std::sync::Arc::clone(s),
-            ClientConfig::distances(),
-        )
-        .with_rng_seed(19),
-        _ => unreachable!("sharded deployment expected"),
-    };
+    assert_eq!(
+        single.server.shards, 1,
+        "reference deployment is single-index"
+    );
+    assert!(sharded.server.shards > 1, "sharded deployment expected");
+    let mut sc = single.client(ClientConfig::distances()).with_rng_seed(17);
+    let mut hc = sharded.client(ClientConfig::distances()).with_rng_seed(19);
     let n = single.dataset.len();
     for (qi, q) in single.workload.queries.iter().enumerate() {
         // Collection-covering candidate budget: the regime where sharded
@@ -148,7 +132,7 @@ fn main() {
             ] {
                 let server_config = budget.unwrap_or_default();
                 let sharded =
-                    prebuild_sharded(ds.clone(), cfg.queries, 3, server_config, shards, router);
+                    prebuild_with(ds.clone(), cfg.queries, 3, server_config, shards, router);
                 let label = format!(
                     "{}x{}{}",
                     shards,
@@ -170,10 +154,10 @@ fn main() {
     ));
 
     // ---- 2. query throughput -------------------------------------------
-    let gen_before = generated(&single.server);
+    let gen_before = generated(&single);
     let single_q = steady_state_encrypted(&single, cfg.cand, k, 1, cfg.rounds, 7);
     let single_qps = single_q.queries_per_second();
-    let single_generated = generated(&single.server) - gen_before;
+    let single_generated = generated(&single) - gen_before;
     println!(
         "  query  shards=1          {single_qps:>8.1} queries/s (reference, {single_generated} generated)"
     );
@@ -183,7 +167,7 @@ fn main() {
     ));
     for router in [RouterKind::Hash, RouterKind::Pivot] {
         for shards in [2usize, 4] {
-            let pre = prebuild_sharded(
+            let pre = prebuild_with(
                 ds.clone(),
                 cfg.queries,
                 3,
@@ -194,7 +178,7 @@ fn main() {
             let run = steady_state_encrypted(&pre, cfg.cand, k, 1, cfg.rounds, 7);
             let qps = run.queries_per_second();
             let ratio = qps / single_qps;
-            let gen = generated(&pre.server);
+            let gen = generated(&pre);
             let amp = gen as f64 / single_generated.max(1) as f64;
             println!(
                 "  query  shards={shards} ({:<5})  {qps:>8.1} queries/s ({ratio:.2}x vs single, {amp:.2}x generated)",

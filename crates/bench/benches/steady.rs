@@ -21,8 +21,8 @@
 //! `--bench shard`.
 
 use simcloud_bench::{
-    prebuild, prebuild_sharded, shards_arg, shards_suffix, steady_state_batch,
-    steady_state_encrypted, RouterKind, SteadyState, Which,
+    prebuild_with, shards_arg, shards_suffix, steady_state_batch, steady_state_encrypted,
+    RouterKind, SteadyState, Which,
 };
 use simcloud_core::ServerConfig;
 
@@ -64,18 +64,14 @@ fn main() {
         shards
     );
     let ds = Which::Yeast.dataset(cfg.n, 11);
-    let pre = if shards > 1 {
-        prebuild_sharded(
-            ds,
-            cfg.queries,
-            3,
-            ServerConfig::default(),
-            shards,
-            RouterKind::Hash,
-        )
-    } else {
-        prebuild(ds, cfg.queries, 3)
-    };
+    let pre = prebuild_with(
+        ds,
+        cfg.queries,
+        3,
+        ServerConfig::default(),
+        shards,
+        RouterKind::Hash,
+    );
 
     let mut json = String::from("{\n");
     // Sharded runs get distinct JSON keys; the default keys stay stable.

@@ -32,7 +32,7 @@
 //! fetches, budgets) is byte-compatible, so the same assertions apply.
 
 use simcloud_bench::{
-    prebuild_sharded, prebuild_with, shards_arg, shards_suffix, steady_state_encrypted_tcp,
+    prebuild_with, shards_arg, shards_suffix, steady_state_encrypted_tcp,
     steady_state_encrypted_with, PreBuilt, RouterKind, SteadyState, Which,
 };
 use simcloud_core::{ClientConfig, LazyRefine, ServerConfig};
@@ -112,18 +112,14 @@ fn main() {
     let ds = Which::Yeast.dataset(cfg.n, 11);
     let sealed_payload = CipherKey::sealed_len(ds.vectors[0].encoded_len(), EnvelopeMode::Ctr);
     let build = |server_config: ServerConfig| -> PreBuilt {
-        if shards > 1 {
-            prebuild_sharded(
-                ds.clone(),
-                cfg.queries,
-                3,
-                server_config,
-                shards,
-                RouterKind::Hash,
-            )
-        } else {
-            prebuild_with(ds.clone(), cfg.queries, 3, server_config)
-        }
+        prebuild_with(
+            ds.clone(),
+            cfg.queries,
+            3,
+            server_config,
+            shards,
+            RouterKind::Hash,
+        )
     };
     let full = build(ServerConfig::default());
 

@@ -3,14 +3,16 @@
 //! Every function returns structured rows; the `repro` binary renders them
 //! in the paper's table layout. Seeds are fixed so runs are reproducible.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use simcloud_core::{in_process, ClientConfig, CostReport, SecretKey};
+use simcloud_core::{client_for, in_process, ClientConfig, CloudServer, CostReport, SecretKey};
 use simcloud_datasets::{parallel_knn_ground_truth, Dataset, QueryWorkload};
 use simcloud_metric::{Metric, ObjectId, PivotSelection, Vector};
 use simcloud_mindex::{MIndexConfig, PlainMIndex, RoutingStrategy, FIRST_CELL_ONLY};
+use simcloud_shard::{memory_stores, HashRouter, ShardedCloudServer};
 use simcloud_storage::MemoryStore;
-use simcloud_transport::{NetworkModel, Stopwatch};
+use simcloud_transport::{NetworkModel, SharedRequestHandler, Stopwatch};
 
 use simcloud_baselines::{
     ehi::EhiConfig, fdh::FdhConfig, mpt::MptConfig, EhiScheme, FdhScheme, MptScheme, SecureScheme,
@@ -216,18 +218,38 @@ pub struct SearchRow {
     pub recall: f64,
 }
 
-/// The shared measurement body of the encrypted-search tables: outsources
-/// the collection through `cloud`, then sweeps `cand_sizes` over the member
-/// workload against exact ground truth. One definition, so `repro --shards`
-/// rows stay comparable to the single-index tables by construction.
-fn encrypted_search_sweep<T: simcloud_transport::Transport>(
-    cloud: &mut simcloud_core::EncryptedClient<simcloud_datasets::DatasetMetric, T>,
+/// Encrypted M-Index approximate k-NN sweep (Tables 5 and 6): outsources
+/// the collection to one index or, with `shards > 1`, to `shards`
+/// hash-routed shards behind the same wire, then sweeps `cand_sizes` over
+/// the member workload against exact ground truth. One definition, so
+/// `repro --shards` rows stay comparable to the single-index tables by
+/// construction.
+pub fn search_encrypted(
     ds: &Dataset,
     cand_sizes: &[usize],
     queries: usize,
     k: usize,
     seed: u64,
+    shards: usize,
 ) -> Vec<SearchRow> {
+    let cfg = dataset_config(ds);
+    let (key, _) = SecretKey::generate(
+        &ds.vectors,
+        cfg.num_pivots,
+        &ds.metric,
+        PivotSelection::Random,
+        seed,
+    );
+    let server: Arc<dyn SharedRequestHandler> = if shards > 1 {
+        Arc::new(
+            ShardedCloudServer::new(cfg, Box::new(HashRouter), memory_stores(shards))
+                .expect("config"),
+        )
+    } else {
+        Arc::new(CloudServer::new(cfg, MemoryStore::new()).expect("config"))
+    };
+    let mut cloud = client_for(key, ds.metric.clone(), server, ClientConfig::distances())
+        .with_rng_seed(seed ^ 2);
     let objects = id_objects(&ds.vectors);
     for chunk in objects.chunks(BULK) {
         cloud.insert_bulk(chunk).expect("insert");
@@ -256,67 +278,6 @@ fn encrypted_search_sweep<T: simcloud_transport::Transport>(
         });
     }
     rows
-}
-
-/// Encrypted M-Index approximate k-NN sweep (Tables 5 and 6).
-pub fn search_encrypted(
-    ds: &Dataset,
-    cand_sizes: &[usize],
-    queries: usize,
-    k: usize,
-    seed: u64,
-) -> Vec<SearchRow> {
-    let cfg = dataset_config(ds);
-    let (key, _) = SecretKey::generate(
-        &ds.vectors,
-        cfg.num_pivots,
-        &ds.metric,
-        PivotSelection::Random,
-        seed,
-    );
-    let mut cloud = in_process(
-        key,
-        ds.metric.clone(),
-        cfg,
-        MemoryStore::new(),
-        ClientConfig::distances(),
-    )
-    .expect("config")
-    .with_rng_seed(seed ^ 2);
-    encrypted_search_sweep(&mut cloud, ds, cand_sizes, queries, k, seed)
-}
-
-/// [`search_encrypted`] against a **sharded** deployment: same key
-/// derivation, same workload and ground truth (the sweep body is shared),
-/// with the collection spread over `shards` hash-routed shards —
-/// `repro --shards N` compares its rows against the single-index tables.
-pub fn search_encrypted_sharded(
-    ds: &Dataset,
-    cand_sizes: &[usize],
-    queries: usize,
-    k: usize,
-    seed: u64,
-    shards: usize,
-) -> Vec<SearchRow> {
-    let cfg = dataset_config(ds);
-    let (key, _) = SecretKey::generate(
-        &ds.vectors,
-        cfg.num_pivots,
-        &ds.metric,
-        PivotSelection::Random,
-        seed,
-    );
-    let mut cloud = simcloud_shard::sharded_in_process(
-        key,
-        ds.metric.clone(),
-        cfg,
-        Box::new(simcloud_shard::HashRouter),
-        simcloud_shard::memory_stores(shards),
-        ClientConfig::distances(),
-    )
-    .expect("config")
-    .with_rng_seed(seed ^ 2);
-    encrypted_search_sweep(&mut cloud, ds, cand_sizes, queries, k, seed)
 }
 
 /// Basic (non-encrypted) M-Index approximate k-NN sweep (Tables 7 and 8):

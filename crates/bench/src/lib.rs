@@ -24,8 +24,8 @@ pub use experiments::*;
 pub use scale::Scale;
 pub use shardperf::{concurrent_insert_throughput, InsertThroughput, LatencyStore};
 pub use steady::{
-    prebuild, prebuild_sharded, prebuild_with, shards_arg, shards_suffix, steady_state_batch,
-    steady_state_encrypted, steady_state_encrypted_tcp, steady_state_encrypted_with, PreBuilt,
-    RouterKind, SteadyServer, SteadyState,
+    prebuild, prebuild_with, shards_arg, shards_suffix, steady_state_batch, steady_state_encrypted,
+    steady_state_encrypted_tcp, steady_state_encrypted_with, PreBuilt, RouterKind, SteadyHandler,
+    SteadyServer, SteadyState,
 };
 pub use tables::Table;

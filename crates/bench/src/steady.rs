@@ -12,9 +12,9 @@
 //!   travel in one round trip.
 //!
 //! Every runner works against a [`SteadyServer`] — a single `CloudServer`
-//! or a `ShardedCloudServer` behind the same wire — so the sharded
-//! deployment is benchmarked by the *same* code paths (`--shards N` on the
-//! harnesses picks the variant).
+//! or a `ShardedCloudServer`, the same front end behind the same wire — so
+//! the sharded deployment is benchmarked by the *same* code paths
+//! (`--shards N` on the harnesses picks the variant).
 //!
 //! Throughput is end-to-end per query: pivot distances + server candidate
 //! selection + decryption + refinement, i.e. the paper's whole Alg. 2 loop.
@@ -23,16 +23,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use simcloud_core::{
-    client_for, connect_tcp, ClientConfig, CloudServer, CostReport, EncryptedClient, SecretKey,
-    ServerConfig,
+    client_for, connect_tcp, ClientConfig, CloudServer, CostReport, EncryptedClient, FrontEnd,
+    IndexBackend, SecretKey, ServerConfig, ServerTelemetry, SharedCloud,
 };
 use simcloud_datasets::{Dataset, DatasetMetric, QueryWorkload};
 use simcloud_metric::PivotSelection;
-use simcloud_shard::{
-    client_for_sharded, HashRouter, PivotRouter, ShardRouter, ShardedCloudServer,
-};
-use simcloud_storage::MemoryStore;
-use simcloud_transport::{tcp::TcpServerHandle, Transport};
+use simcloud_shard::{HashRouter, PivotRouter, ShardRouter, ShardedCloudServer};
+use simcloud_storage::{BucketStore, MemoryStore};
+use simcloud_transport::{serve_tcp_shared, tcp::TcpServerHandle, SharedRequestHandler, Transport};
 
 use crate::experiments::BULK;
 
@@ -162,30 +160,39 @@ pub fn shards_suffix(shards: usize) -> String {
     }
 }
 
-/// A steady-state server under test: one index or N shards, same wire.
+/// A server front end as the steady-state harnesses drive it: the wire
+/// handler plus the telemetry the overhead and shard benches read.
+pub trait SteadyHandler: SharedRequestHandler + std::fmt::Debug {
+    /// The server's telemetry (registry, search stats, slow-query log).
+    fn telemetry(&self) -> &ServerTelemetry;
+}
+
+impl<B: IndexBackend> SteadyHandler for FrontEnd<B> {
+    fn telemetry(&self) -> &ServerTelemetry {
+        FrontEnd::telemetry(self)
+    }
+}
+
+impl<S: BucketStore> SteadyHandler for ShardedCloudServer<S> {
+    fn telemetry(&self) -> &ServerTelemetry {
+        FrontEnd::telemetry(self)
+    }
+}
+
+/// A steady-state server under test: one index or N shards, same front
+/// end, same wire.
 #[derive(Clone, Debug)]
-pub enum SteadyServer {
-    /// The classic single `CloudServer`.
-    Single(Arc<CloudServer<MemoryStore>>),
-    /// A `ShardedCloudServer` (scatter-gather).
-    Sharded(Arc<ShardedCloudServer<MemoryStore>>),
+pub struct SteadyServer {
+    /// The shared server every client and TCP listener drives.
+    pub handler: Arc<dyn SteadyHandler>,
+    /// Shard count (1 for the single server).
+    pub shards: usize,
 }
 
 impl SteadyServer {
     /// Serves this server on a concurrent TCP loopback socket.
     pub fn serve_tcp(&self) -> std::io::Result<TcpServerHandle> {
-        match self {
-            SteadyServer::Single(s) => simcloud_core::serve_tcp_concurrent(Arc::clone(s)),
-            SteadyServer::Sharded(s) => simcloud_shard::serve_tcp_concurrent_sharded(Arc::clone(s)),
-        }
-    }
-
-    /// Shard count (1 for the single server).
-    pub fn shards(&self) -> usize {
-        match self {
-            SteadyServer::Single(_) => 1,
-            SteadyServer::Sharded(s) => s.index().shard_count(),
-        }
+        serve_tcp_shared(Arc::new(Arc::clone(&self.handler)))
     }
 }
 
@@ -205,6 +212,18 @@ pub struct PreBuilt {
 impl std::fmt::Debug for PreBuilt {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreBuilt").finish_non_exhaustive()
+    }
+}
+
+impl PreBuilt {
+    /// A new in-process client of the shared server, holding the key.
+    pub fn client(&self, config: ClientConfig) -> SharedCloud<DatasetMetric, dyn SteadyHandler> {
+        client_for(
+            self.key.clone(),
+            self.dataset.metric.clone(),
+            Arc::clone(&self.server.handler),
+            config,
+        )
     }
 }
 
@@ -233,70 +252,25 @@ fn insert_all<T: Transport>(
     }
 }
 
-fn prebuild_into(ds: Dataset, queries: usize, seed: u64, server: SteadyServer) -> PreBuilt {
-    let cfg = crate::experiments::dataset_config(&ds);
-    let (key, _) = SecretKey::generate(
-        &ds.vectors,
-        cfg.num_pivots,
-        &ds.metric,
-        PivotSelection::Random,
-        seed,
-    );
-    match &server {
-        SteadyServer::Single(s) => {
-            let mut owner = client_for(
-                key.clone(),
-                ds.metric.clone(),
-                Arc::clone(s),
-                ClientConfig::distances(),
-            )
-            .with_rng_seed(seed ^ 1);
-            insert_all(&mut owner, &ds.vectors);
-        }
-        SteadyServer::Sharded(s) => {
-            let mut owner = client_for_sharded(
-                key.clone(),
-                ds.metric.clone(),
-                Arc::clone(s),
-                ClientConfig::distances(),
-            )
-            .with_rng_seed(seed ^ 1);
-            insert_all(&mut owner, &ds.vectors);
-        }
-    }
-    let workload = QueryWorkload::members(&ds.vectors, queries, seed ^ 3);
-    PreBuilt {
-        server,
-        key,
-        workload,
-        dataset: ds,
-    }
-}
-
-/// Builds the index once (outside any timed region) with the default
-/// server configuration (everything inlined — single-phase responses).
+/// Builds the index once (outside any timed region) on a single-index
+/// server with the default configuration (everything inlined —
+/// single-phase responses).
 pub fn prebuild(ds: Dataset, queries: usize, seed: u64) -> PreBuilt {
-    prebuild_with(ds, queries, seed, ServerConfig::default())
+    prebuild_with(
+        ds,
+        queries,
+        seed,
+        ServerConfig::default(),
+        1,
+        RouterKind::Hash,
+    )
 }
 
-/// [`prebuild`] with an explicit [`ServerConfig`] — the wire bench uses a
-/// byte-budgeted server to measure the two-phase candidate fetch.
+/// [`prebuild`] with an explicit [`ServerConfig`] (the wire bench measures
+/// the two-phase fetch on a byte-budgeted server) over `shards` shards: 1
+/// is the single `CloudServer`, more a `ShardedCloudServer` placing entries
+/// with `router` — same data, same key derivation, same wire.
 pub fn prebuild_with(
-    ds: Dataset,
-    queries: usize,
-    seed: u64,
-    server_config: ServerConfig,
-) -> PreBuilt {
-    let cfg = crate::experiments::dataset_config(&ds);
-    let server = SteadyServer::Single(Arc::new(
-        CloudServer::with_config(cfg, server_config, MemoryStore::new()).expect("valid config"),
-    ));
-    prebuild_into(ds, queries, seed, server)
-}
-
-/// Pre-builds a **sharded** deployment: same data, same key derivation,
-/// same wire — `shards` independent M-Index shards behind the router.
-pub fn prebuild_sharded(
     ds: Dataset,
     queries: usize,
     seed: u64,
@@ -305,16 +279,36 @@ pub fn prebuild_sharded(
     router: RouterKind,
 ) -> PreBuilt {
     let cfg = crate::experiments::dataset_config(&ds);
-    let server = SteadyServer::Sharded(Arc::new(
-        ShardedCloudServer::with_config(
-            cfg,
-            server_config,
-            router.build(),
-            simcloud_shard::memory_stores(shards),
+    let handler: Arc<dyn SteadyHandler> = if shards > 1 {
+        let stores = simcloud_shard::memory_stores(shards);
+        Arc::new(
+            ShardedCloudServer::with_config(cfg, server_config, router.build(), stores)
+                .expect("valid config"),
         )
-        .expect("valid config"),
-    ));
-    prebuild_into(ds, queries, seed, server)
+    } else {
+        Arc::new(
+            CloudServer::with_config(cfg, server_config, MemoryStore::new()).expect("valid config"),
+        )
+    };
+    let (key, _) = SecretKey::generate(
+        &ds.vectors,
+        cfg.num_pivots,
+        &ds.metric,
+        PivotSelection::Random,
+        seed,
+    );
+    let workload = QueryWorkload::members(&ds.vectors, queries, seed ^ 3);
+    let pre = PreBuilt {
+        server: SteadyServer { handler, shards },
+        key,
+        workload,
+        dataset: ds,
+    };
+    let mut owner = pre
+        .client(ClientConfig::distances())
+        .with_rng_seed(seed ^ 1);
+    insert_all(&mut owner, &pre.dataset.vectors);
+    pre
 }
 
 /// Runs `rounds` passes over the workload from `threads` concurrent
@@ -356,54 +350,20 @@ pub fn steady_state_encrypted_with(
     // first-touch costs (page faults, lazy allocations, cold caches) on its
     // first queries, and a *steady-state* measurement should not charge
     // them to round one.
-    {
-        let server = pre.server.clone();
-        let key = pre.key.clone();
-        let metric = pre.dataset.metric.clone();
-        match server {
-            SteadyServer::Single(s) => knn_rounds(
-                &mut client_for(key, metric, s, config.clone()).with_rng_seed(seed),
-                &pre.workload,
-                1,
-                k,
-                cand_size,
-            ),
-            SteadyServer::Sharded(s) => knn_rounds(
-                &mut client_for_sharded(key, metric, s, config.clone()).with_rng_seed(seed),
-                &pre.workload,
-                1,
-                k,
-                cand_size,
-            ),
-        };
-    }
+    knn_rounds(
+        &mut pre.client(config.clone()).with_rng_seed(seed),
+        &pre.workload,
+        1,
+        k,
+        cand_size,
+    );
     let start = Instant::now();
     let per_thread: u64 = (rounds * pre.workload.len()) as u64;
     let totals: Vec<CostReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let server = pre.server.clone();
-                let key = pre.key.clone();
-                let metric = pre.dataset.metric.clone();
-                let workload = &pre.workload;
-                let config = config.clone();
-                scope.spawn(move || match server {
-                    SteadyServer::Single(s) => knn_rounds(
-                        &mut client_for(key, metric, s, config).with_rng_seed(seed ^ t as u64),
-                        workload,
-                        rounds,
-                        k,
-                        cand_size,
-                    ),
-                    SteadyServer::Sharded(s) => knn_rounds(
-                        &mut client_for_sharded(key, metric, s, config)
-                            .with_rng_seed(seed ^ t as u64),
-                        workload,
-                        rounds,
-                        k,
-                        cand_size,
-                    ),
-                })
+                let mut client = pre.client(config.clone()).with_rng_seed(seed ^ t as u64);
+                scope.spawn(move || knn_rounds(&mut client, &pre.workload, rounds, k, cand_size))
             })
             .collect();
         handles
@@ -490,32 +450,12 @@ pub fn steady_state_batch(
 ) -> SteadyState {
     // Clients are built *outside* the timed region — the run measures the
     // steady-state batch loop, not key cloning or transport setup.
-    let (costs, elapsed) = match &pre.server {
-        SteadyServer::Single(s) => {
-            let mut client = client_for(
-                pre.key.clone(),
-                pre.dataset.metric.clone(),
-                Arc::clone(s),
-                ClientConfig::distances(),
-            )
-            .with_rng_seed(seed ^ 0xba7c);
-            let start = Instant::now();
-            let costs = batch_rounds(&mut client, &pre.workload, rounds, k, cand_size, batch);
-            (costs, start.elapsed())
-        }
-        SteadyServer::Sharded(s) => {
-            let mut client = client_for_sharded(
-                pre.key.clone(),
-                pre.dataset.metric.clone(),
-                Arc::clone(s),
-                ClientConfig::distances(),
-            )
-            .with_rng_seed(seed ^ 0xba7c);
-            let start = Instant::now();
-            let costs = batch_rounds(&mut client, &pre.workload, rounds, k, cand_size, batch);
-            (costs, start.elapsed())
-        }
-    };
+    let mut client = pre
+        .client(ClientConfig::distances())
+        .with_rng_seed(seed ^ 0xba7c);
+    let start = Instant::now();
+    let costs = batch_rounds(&mut client, &pre.workload, rounds, k, cand_size, batch);
+    let elapsed = start.elapsed();
     let mut out = SteadyState {
         threads: 1,
         queries: (rounds * pre.workload.len()) as u64,
@@ -545,7 +485,7 @@ mod tests {
 
     #[test]
     fn steady_state_sharded_smoke() {
-        let pre = prebuild_sharded(
+        let pre = prebuild_with(
             Which::Yeast.dataset(300, 11),
             4,
             5,
@@ -553,7 +493,7 @@ mod tests {
             4,
             RouterKind::Hash,
         );
-        assert_eq!(pre.server.shards(), 4);
+        assert_eq!(pre.server.shards, 4);
         let run = steady_state_encrypted(&pre, 50, 10, 2, 1, 7);
         assert_eq!(run.queries, 8);
         assert!(run.candidates > 0);

@@ -549,11 +549,54 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
     /// pre-existed would read as "stored" and silently shrink the resend.
     /// The resend itself may fail the same way — loop on
     /// [`ClientError::InsertInterrupted`] until it returns `Ok`.
+    ///
+    /// The interrupted request may still be in flight on the server while
+    /// the probe runs, and land after it: the resend then collides on an
+    /// id that attempt stored. Both run in batch order and stop at their
+    /// first failure, so the stored portion stays a prefix — the resume
+    /// probes again and resends the new remainder, for as long as each
+    /// probe finds the prefix longer than the last.
     pub fn insert_bulk_resume(
         &mut self,
         objects: &[(ObjectId, Vector)],
     ) -> Result<(usize, CostReport), ClientError> {
         let mut costs = CostReport::default();
+        let mut collided: Option<(usize, ClientError)> = None;
+        loop {
+            let lo = self.stored_prefix(objects, &mut costs)?;
+            if let Some((before, error)) = collided.take() {
+                if lo <= before {
+                    return Err(error);
+                }
+            }
+            let remainder = objects.get(lo..).unwrap_or(&[]);
+            if remainder.is_empty() {
+                return Ok((lo, costs));
+            }
+            match self.insert_bulk(remainder) {
+                Ok(insert_costs) => {
+                    costs.merge(&insert_costs);
+                    return Ok((lo, costs));
+                }
+                Err(ClientError::PartialInsert { inserted, message })
+                    if message.contains("already indexed") =>
+                {
+                    collided = Some((lo, ClientError::PartialInsert { inserted, message }));
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Length of the longest prefix of `objects` stored on the server,
+    /// found with `O(log n)` [`Self::id_stored`] probes; their cost is
+    /// added to `costs` and to the client's totals.
+    fn stored_prefix(
+        &mut self,
+        objects: &[(ObjectId, Vector)],
+        costs: &mut CostReport,
+    ) -> Result<usize, ClientError> {
+        let mut probe = CostReport::default();
         let mut rt_elapsed = Duration::ZERO;
         let op_start = Instant::now();
         // Largest `lo` with objects[..lo] all stored; prefix-monotonicity
@@ -566,20 +609,16 @@ impl<M: Metric<Vector>, T: Transport> EncryptedClient<M, T> {
                 Some((id, _)) => *id,
                 None => break,
             };
-            if self.id_stored(id, &mut costs, &mut rt_elapsed)? {
+            if self.id_stored(id, &mut probe, &mut rt_elapsed)? {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        costs.client = op_start.elapsed().saturating_sub(rt_elapsed);
-        self.total.merge(&costs);
-        let remainder = objects.get(lo..).unwrap_or(&[]);
-        if !remainder.is_empty() {
-            let insert_costs = self.insert_bulk(remainder)?;
-            costs.merge(&insert_costs);
-        }
-        Ok((lo, costs))
+        probe.client = op_start.elapsed().saturating_sub(rt_elapsed);
+        self.total.merge(&probe);
+        costs.merge(&probe);
+        Ok(lo)
     }
 
     /// True when the wire lower bounds of the next candidate set are sound

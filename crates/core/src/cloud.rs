@@ -6,9 +6,10 @@
 //! [`over_tcp`] runs the server on a real TCP loopback socket in its own
 //! thread, like the original MESSIF prototype.
 //!
-//! The *concurrent* serving mode shares one `Arc<CloudServer>` among any
-//! number of clients: [`client_for`] wires additional in-process clients
-//! (each thread gets its own), [`serve_tcp_concurrent`] accepts TCP
+//! The *concurrent* serving mode shares one `Arc`'d server — single or
+//! sharded, the front end is the same — among any number of clients:
+//! [`client_for`] wires additional in-process clients (each thread gets
+//! its own), `simcloud_transport::serve_tcp_shared` accepts TCP
 //! connections without serializing requests, and [`connect_tcp`] attaches
 //! further authorized clients to a running server.
 
@@ -18,8 +19,8 @@ use simcloud_metric::{Metric, Vector};
 use simcloud_mindex::{MIndexConfig, MIndexError};
 use simcloud_storage::BucketStore;
 use simcloud_transport::{
-    serve_tcp, serve_tcp_shared, serve_tcp_shared_with, InProcessTransport, NetworkModel,
-    ServeOptions, Shared, TcpClientConfig, TcpTransport,
+    serve_tcp, InProcessTransport, NetworkModel, Shared, SharedRequestHandler, TcpClientConfig,
+    TcpTransport,
 };
 
 use crate::client::{ClientConfig, EncryptedClient};
@@ -92,71 +93,45 @@ where
     Ok(EncryptedClient::new(key, metric, transport, client_config))
 }
 
-/// A client sharing an `Arc`'d in-process server with other clients
+/// A client sharing an `Arc`'d in-process server — a [`CloudServer`], a
+/// sharded server, any [`SharedRequestHandler`] — with other clients
 /// (typically one such client per query thread).
-pub type SharedCloud<M, S> = EncryptedClient<M, InProcessTransport<Shared<Arc<CloudServer<S>>>>>;
+pub type SharedCloud<M, H> = EncryptedClient<M, InProcessTransport<Shared<Arc<H>>>>;
 
 /// Wires an in-process client to an *existing shared* server with the
 /// default loopback model. Every thread of a concurrent workload builds its
 /// own client this way; queries hit the server's `&self` path in parallel.
-pub fn client_for<M, S>(
+pub fn client_for<M, H>(
     key: SecretKey,
     metric: M,
-    server: Arc<CloudServer<S>>,
+    server: Arc<H>,
     client_config: ClientConfig,
-) -> SharedCloud<M, S>
+) -> SharedCloud<M, H>
 where
     M: Metric<Vector>,
-    S: BucketStore,
+    H: SharedRequestHandler + ?Sized,
 {
     client_for_with_model(key, metric, server, client_config, NetworkModel::loopback())
 }
 
 /// [`client_for`] with an explicit network model.
-pub fn client_for_with_model<M, S>(
+pub fn client_for_with_model<M, H>(
     key: SecretKey,
     metric: M,
-    server: Arc<CloudServer<S>>,
+    server: Arc<H>,
     client_config: ClientConfig,
     model: NetworkModel,
-) -> SharedCloud<M, S>
+) -> SharedCloud<M, H>
 where
     M: Metric<Vector>,
-    S: BucketStore,
+    H: SharedRequestHandler + ?Sized,
 {
     let transport = InProcessTransport::with_model(Shared(server), model);
     EncryptedClient::new(key, metric, transport, client_config)
 }
 
-/// Concurrent TCP serving mode: accepts any number of connections against
-/// one shared server, processing requests from different connections in
-/// parallel (no handler lock — searches share the index read lock, inserts
-/// take the write lock). The caller keeps its `Arc` for inspection; attach
-/// clients with [`connect_tcp`].
-pub fn serve_tcp_concurrent<S>(
-    server: Arc<CloudServer<S>>,
-) -> std::io::Result<simcloud_transport::tcp::TcpServerHandle>
-where
-    S: BucketStore + 'static,
-{
-    serve_tcp_shared(server)
-}
-
-/// [`serve_tcp_concurrent`] with explicit [`ServeOptions`]: per-connection
-/// read/idle deadlines, a connection-count limit with typed load shedding,
-/// a bounded shutdown drain — and, in tests, server-side fault injection.
-pub fn serve_tcp_concurrent_with<S>(
-    server: Arc<CloudServer<S>>,
-    options: ServeOptions,
-) -> std::io::Result<simcloud_transport::tcp::TcpServerHandle>
-where
-    S: BucketStore + 'static,
-{
-    serve_tcp_shared_with(server, options)
-}
-
 /// Connects one more authorized client to a running TCP server (started
-/// with [`over_tcp`] or [`serve_tcp_concurrent`]).
+/// with [`over_tcp`] or `simcloud_transport::serve_tcp_shared`).
 pub fn connect_tcp<M>(
     key: SecretKey,
     metric: M,

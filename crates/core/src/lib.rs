@@ -24,7 +24,8 @@
 //!   a pre-ranked candidate set of sealed objects; the client decrypts and
 //!   refines.
 //!
-//! The server half is [`CloudServer`]; it implements the byte
+//! The server half is [`CloudServer`]: the one request front end
+//! ([`FrontEnd`]) over a single M-Index backend. It implements the byte
 //! [`protocol`] and can run in-process or behind TCP ([`cloud`]).
 //! [`CostReport`] captures the paper's cost decomposition (client /
 //! encryption / decryption / distance / server / communication) for every
@@ -52,13 +53,12 @@ pub mod transform;
 pub use client::{ClientConfig, ClientError, EncryptedClient, LazyRefine, Neighbor, ServerHealth};
 pub use cloud::{
     client_for, client_for_with_model, connect_tcp, connect_tcp_with, in_process,
-    in_process_rebuilt, in_process_with_model, over_tcp, serve_tcp_concurrent,
-    serve_tcp_concurrent_with, InProcessCloud, SharedCloud,
+    in_process_rebuilt, in_process_with_model, over_tcp, InProcessCloud, SharedCloud,
 };
 pub use costs::CostReport;
 pub use key::SecretKey;
-pub use server::{check_cand_size, evaluator_for, stage_candidates, CloudServer, ServerConfig};
-pub use telemetry::{request_label, ServerTelemetry, SLOW_LOG_CAPACITY};
+pub use server::{CloudServer, FrontEnd, IndexBackend, IndexShape, RankedCandidates, ServerConfig};
+pub use telemetry::{ServerTelemetry, SLOW_LOG_CAPACITY};
 pub use transform::DistanceTransform;
 
 /// Recall measure re-exported from the index layer (paper §4.1).

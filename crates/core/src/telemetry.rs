@@ -5,11 +5,10 @@
 //! the metric [`Registry`], the request/phase latency histograms, the
 //! per-request and accumulated [`SearchStats`] (including the
 //! zero-on-failure rule), the entries gauge the ops surface answers
-//! from, and the slow-query log. `CloudServer` and the sharded front
-//! end both hold one of these and delegate — the two deployments report
-//! identically *shaped* metrics by construction, because there is no
-//! second implementation to drift (the stats-sampling inconsistencies
-//! between them were exactly such drift).
+//! from, and the slow-query log. The one server front end
+//! (`server::FrontEnd`) holds one of these for every deployment, single
+//! or sharded, so both report identically *shaped* metrics by
+//! construction.
 //!
 //! The [`Request::Health`] / [`Request::MetricsSnapshot`] answers are
 //! assembled **entirely from pre-aggregated atomics and side locks**
@@ -30,8 +29,8 @@ use crate::protocol::{Request, Response, PROTOCOL_VERSION};
 pub const SLOW_LOG_CAPACITY: usize = 16;
 
 /// Wire label of a request, used for trace labels and the slow-query
-/// log. Shared by every front end so the two servers label identically.
-pub fn request_label(request: &Request) -> &'static str {
+/// log.
+pub(crate) fn request_label(request: &Request) -> &'static str {
     match request {
         Request::Insert(_) => "insert",
         Request::Range { .. } => "range",

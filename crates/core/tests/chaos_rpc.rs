@@ -19,15 +19,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::protocol::{Request, Response};
 use simcloud_core::{
-    client_for, serve_tcp_concurrent_with, ClientConfig, ClientError, CloudServer, EncryptedClient,
-    SecretKey, ServerConfig,
+    client_for, ClientConfig, ClientError, CloudServer, EncryptedClient, SecretKey, ServerConfig,
 };
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, RoutingStrategy};
 use simcloud_storage::MemoryStore;
 use simcloud_transport::{
-    serve_tcp, Direction, FaultAction, FaultRule, FaultScript, RetryPolicy, ServeOptions,
-    SharedRequestHandler, TcpClientConfig, TcpTransport, Transport,
+    serve_tcp, serve_tcp_shared_with, Direction, FaultAction, FaultRule, FaultScript, RetryPolicy,
+    ServeOptions, SharedRequestHandler, TcpClientConfig, TcpTransport, Transport,
 };
 
 const PIVOTS: usize = 4;
@@ -121,7 +120,7 @@ fn faulty_client(
 fn knn_answers_survive_a_cut_at_every_frame() {
     let (key, objects) = dataset(11);
     let server = loaded_server(&key, &objects);
-    let handle = serve_tcp_concurrent_with(Arc::clone(&server), quick_serve_options()).unwrap();
+    let handle = serve_tcp_shared_with(Arc::clone(&server), quick_serve_options()).unwrap();
     let q = &objects[3].1;
 
     // Baseline run through a quiet script: the expected answer plus the op
@@ -162,7 +161,7 @@ fn knn_answers_survive_a_cut_at_every_frame() {
 fn range_answers_survive_cuts() {
     let (key, objects) = dataset(13);
     let server = loaded_server(&key, &objects);
-    let handle = serve_tcp_concurrent_with(Arc::clone(&server), quick_serve_options()).unwrap();
+    let handle = serve_tcp_shared_with(Arc::clone(&server), quick_serve_options()).unwrap();
     let q = &objects[7].1;
 
     let quiet = FaultScript::quiet();
@@ -190,7 +189,7 @@ fn range_answers_survive_cuts() {
 fn delays_are_retried_only_when_they_breach_the_read_timeout() {
     let (key, objects) = dataset(17);
     let server = loaded_server(&key, &objects);
-    let handle = serve_tcp_concurrent_with(Arc::clone(&server), quick_serve_options()).unwrap();
+    let handle = serve_tcp_shared_with(Arc::clone(&server), quick_serve_options()).unwrap();
     let q = &objects[0].1;
 
     let mut baseline = faulty_client(&key, handle.addr(), FaultScript::quiet());
@@ -243,8 +242,7 @@ fn interrupted_inserts_are_exactly_once_after_resume() {
                 )
                 .unwrap(),
             );
-            let handle =
-                serve_tcp_concurrent_with(Arc::clone(&server), quick_serve_options()).unwrap();
+            let handle = serve_tcp_shared_with(Arc::clone(&server), quick_serve_options()).unwrap();
             let script = FaultScript::new(vec![FaultRule::once(dir, at, FaultAction::Cut)]);
             let mut client = faulty_client(&key, handle.addr(), Arc::clone(&script));
 
@@ -296,6 +294,72 @@ fn interrupted_inserts_are_exactly_once_after_resume() {
     }
 }
 
+/// A transport whose first insert is cut after sending but reaches the
+/// server late: it lands just before the next insert, i.e. after the
+/// resume's probes and before its resend — the race a real cut leaves
+/// open while the server still works on the torn exchange.
+struct LateLandingTransport {
+    server: Arc<CloudServer<MemoryStore>>,
+    held: Option<Vec<u8>>,
+    cut_once: bool,
+}
+
+impl Transport for LateLandingTransport {
+    fn round_trip(
+        &mut self,
+        request: &[u8],
+    ) -> Result<Vec<u8>, simcloud_transport::TransportError> {
+        if matches!(Request::decode(request), Ok(Request::Insert(_))) {
+            if !self.cut_once {
+                self.cut_once = true;
+                self.held = Some(request.to_vec());
+                return Err(simcloud_transport::TransportError::Disconnected);
+            }
+            if let Some(late) = self.held.take() {
+                self.server.handle_shared(&late);
+            }
+        }
+        Ok(self.server.handle_shared(request))
+    }
+
+    fn stats(&self) -> simcloud_transport::TransportStats {
+        simcloud_transport::TransportStats::default()
+    }
+}
+
+/// The interrupted attempt landing between the probe and the resend must
+/// not fail the resume: the resend's duplicate-id collision sends it back
+/// to probing, and the server ends on exactly `N` entries.
+#[test]
+fn resume_survives_the_interrupted_insert_landing_late() {
+    let (key, objects) = dataset(31);
+    let server = Arc::new(CloudServer::new(index_config(), MemoryStore::new()).unwrap());
+    let transport = LateLandingTransport {
+        server: Arc::clone(&server),
+        held: None,
+        cut_once: false,
+    };
+    let mut client = EncryptedClient::new(key, L2, transport, ClientConfig::distances());
+    match client.insert_bulk(&objects) {
+        Err(ClientError::InsertInterrupted { acked: 0, .. }) => {}
+        other => panic!("expected InsertInterrupted, got {other:?}"),
+    }
+    assert_eq!(
+        server.index().len(),
+        0,
+        "the cut attempt is still in flight"
+    );
+    let (stored_prefix, _) = client.insert_bulk_resume(&objects).unwrap();
+    assert_eq!(
+        stored_prefix,
+        objects.len(),
+        "the late attempt stored it all"
+    );
+    assert_eq!(server.index().len(), objects.len() as u64);
+    let (neighbors, _) = client.knn_approx(&objects[0].1, 3, 8).unwrap();
+    assert_eq!(neighbors[0].0, objects[0].0);
+}
+
 /// A key mismatch makes every candidate fail authentication. That is a
 /// crypto abort, not a network fault: the client must surface `Seal`
 /// without the transport ever retrying.
@@ -303,7 +367,7 @@ fn interrupted_inserts_are_exactly_once_after_resume() {
 fn seal_aborts_are_never_retried() {
     let (key, objects) = dataset(23);
     let server = loaded_server(&key, &objects);
-    let handle = serve_tcp_concurrent_with(Arc::clone(&server), quick_serve_options()).unwrap();
+    let handle = serve_tcp_shared_with(Arc::clone(&server), quick_serve_options()).unwrap();
 
     // A *different* key over the same vectors: routing stays well-formed
     // (same pivot count), but every unseal fails its MAC.

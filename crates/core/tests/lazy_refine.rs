@@ -87,7 +87,11 @@ fn build_with(
     Deployment { server, key, data }
 }
 
-fn client(dep: &Deployment, config: ClientConfig, seed: u64) -> SharedCloud<L2, MemoryStore> {
+fn client(
+    dep: &Deployment,
+    config: ClientConfig,
+    seed: u64,
+) -> SharedCloud<L2, CloudServer<MemoryStore>> {
     client_for(dep.key.clone(), L2, Arc::clone(&dep.server), config).with_rng_seed(seed)
 }
 

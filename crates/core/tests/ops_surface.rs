@@ -13,14 +13,12 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcloud_core::protocol::{Request, Response, PROTOCOL_VERSION};
-use simcloud_core::{
-    client_for, serve_tcp_concurrent, ClientConfig, CloudServer, SecretKey, SLOW_LOG_CAPACITY,
-};
+use simcloud_core::{client_for, ClientConfig, CloudServer, SecretKey, SLOW_LOG_CAPACITY};
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{IndexEntry, MIndexConfig, Routing, RoutingStrategy};
-use simcloud_shard::{serve_tcp_concurrent_sharded, HashRouter, ShardedCloudServer};
+use simcloud_shard::{HashRouter, ShardedCloudServer};
 use simcloud_storage::{BucketId, BucketStore, IoStats, MemoryStore, Record, StorageError};
-use simcloud_transport::{RetryPolicy, TcpClientConfig, TcpTransport, Transport};
+use simcloud_transport::{serve_tcp_shared, RetryPolicy, TcpClientConfig, TcpTransport, Transport};
 
 /// Condvar gate shared between a blocking store and the test driver.
 #[derive(Default)]
@@ -214,7 +212,7 @@ fn single_server_answers_ops_requests_during_blocked_insert() {
         other => panic!("seed insert failed: {other:?}"),
     }
 
-    let handle = serve_tcp_concurrent(Arc::clone(&server)).unwrap();
+    let handle = serve_tcp_shared(Arc::clone(&server)).unwrap();
     let addr = handle.addr();
 
     gate.arm();
@@ -267,7 +265,7 @@ fn sharded_server_answers_ops_requests_during_blocked_insert() {
         other => panic!("seed insert failed: {other:?}"),
     }
 
-    let handle = serve_tcp_concurrent_sharded(Arc::clone(&server)).unwrap();
+    let handle = serve_tcp_shared(Arc::clone(&server)).unwrap();
     let addr = handle.addr();
 
     gate.arm();

@@ -99,6 +99,12 @@ impl From<StorageError> for MIndexError {
 /// most-promising Voronoi cell untrimmed (paper §5.4's 1-NN setting).
 pub const FIRST_CELL_ONLY: usize = 0;
 
+/// The drain cap a k-NN `cand_size` implies: [`FIRST_CELL_ONLY`] drains the
+/// whole first cell, any other size trims to it (Alg. 4 line 5).
+pub fn knn_drain_cap(cand_size: usize) -> Option<usize> {
+    (cand_size != FIRST_CELL_ONLY).then_some(cand_size)
+}
+
 /// The dynamic M-Index over a bucket store.
 pub struct MIndex<S: BucketStore> {
     config: MIndexConfig,
@@ -432,13 +438,8 @@ impl<S: BucketStore> MIndex<S> {
         evaluator: &PromiseEvaluator,
         cand_size: usize,
     ) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
-        let cap = if cand_size == FIRST_CELL_ONLY {
-            None
-        } else {
-            // Trim to the requested size (Alg. 4 line 5).
-            Some(cand_size)
-        };
-        self.knn_cursor(evaluator, cand_size)?.collect_up_to(cap)
+        self.knn_cursor(evaluator, cand_size)?
+            .collect_up_to(knn_drain_cap(cand_size))
     }
 
     /// Opens a lazy, bound-ordered cursor over the approximate-k-NN

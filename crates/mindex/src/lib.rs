@@ -43,7 +43,7 @@ pub mod tree;
 pub use config::{MIndexConfig, RoutingStrategy};
 pub use cursor::CandidateCursor;
 pub use entry::{IndexEntry, Routing};
-pub use index::{MIndex, MIndexError, FIRST_CELL_ONLY};
+pub use index::{knn_drain_cap, MIndex, MIndexError, FIRST_CELL_ONLY};
 pub use plain::{recall, Neighbor, PlainMIndex};
 pub use promise::PromiseEvaluator;
 pub use stats::{SearchStats, SharedSearchStats};

@@ -19,9 +19,10 @@
 use std::collections::HashMap;
 
 use parking_lot::{RwLock, RwLockReadGuard};
+use simcloud_core::IndexShape;
 use simcloud_mindex::{
-    CandidateCursor, IndexEntry, MIndex, MIndexConfig, MIndexError, PromiseEvaluator, SearchStats,
-    FIRST_CELL_ONLY,
+    knn_drain_cap, CandidateCursor, IndexEntry, MIndex, MIndexConfig, MIndexError,
+    PromiseEvaluator, SearchStats, FIRST_CELL_ONLY,
 };
 use simcloud_storage::{BucketStore, IoStats};
 use simcloud_telemetry::Registry;
@@ -29,25 +30,6 @@ use simcloud_telemetry::Registry;
 use crate::merge::{drain_frontier, drain_frontier_timed};
 use crate::router::ShardRouter;
 use crate::telemetry::ShardTiming;
-
-/// Aggregate shape of a sharded deployment (the `Info` view).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardedShape {
-    /// Total entries across shards.
-    pub entries: u64,
-    /// Total leaf cells across shards.
-    pub leaves: usize,
-    /// Deepest shard tree.
-    pub max_depth: usize,
-}
-
-/// One shard's search answer: ranked `(entry, lower_bound)` candidates
-/// plus that search's statistics — the unit the gather step merges.
-type RankedCandidates = (Vec<(IndexEntry, f64)>, SearchStats);
-
-/// An opened (but not yet drained) scatter: one cursor per shard plus
-/// the query's global drain cap (`None` = drain everything).
-pub type OpenedFrontier = (Vec<CandidateCursor>, Option<usize>);
 
 /// N independent M-Index shards behind one scatter-gather facade.
 pub struct ShardedMIndex<S: BucketStore> {
@@ -159,8 +141,8 @@ impl<S: BucketStore> ShardedMIndex<S> {
 
     /// Aggregate tree shape: entries and leaves sum, depth is the deepest
     /// shard (each shard's tree splits independently on its own load).
-    pub fn shape(&self) -> ShardedShape {
-        let mut out = ShardedShape {
+    pub fn shape(&self) -> IndexShape {
+        let mut out = IndexShape {
             entries: self.len(),
             leaves: 0,
             max_depth: 0,
@@ -318,30 +300,24 @@ impl<S: BucketStore> ShardedMIndex<S> {
         evaluator: &PromiseEvaluator,
         cand_size: usize,
     ) -> Result<(Vec<(IndexEntry, f64)>, SearchStats), MIndexError> {
-        let (cursors, cap) = self.open_knn_cursors(evaluator, cand_size)?;
-        self.drain(cursors, cap)
+        let cursors = self.open_knn_cursors(evaluator, cand_size)?;
+        self.drain(cursors, knn_drain_cap(cand_size))
     }
 
     /// The scatter half of [`Self::knn_candidates`]: fans the open out to
-    /// every shard and returns the owned cursors plus the global drain
-    /// cap. Separated so a traced front end can time the open and the
-    /// drain as distinct request phases.
+    /// every shard and returns the owned cursors. Separated so a traced
+    /// front end can time the open and the drain as distinct request
+    /// phases.
     pub fn open_knn_cursors(
         &self,
         evaluator: &PromiseEvaluator,
         cand_size: usize,
-    ) -> Result<OpenedFrontier, MIndexError> {
-        let cap = if cand_size == FIRST_CELL_ONLY {
-            None
-        } else {
-            Some(cand_size)
-        };
+    ) -> Result<Vec<CandidateCursor>, MIndexError> {
         let budget = self.shard_open_budget(cand_size);
-        let cursors = Self::open_cursors(self.fan_out(|ix| {
+        Self::open_cursors(self.fan_out(|ix| {
             let _open = self.telemetry.as_ref().map(ShardTiming::open_timer);
             ix.knn_cursor(evaluator, budget)
-        }))?;
-        Ok((cursors, cap))
+        }))
     }
 
     /// The gather half of every search: drains the merged frontier
@@ -388,31 +364,16 @@ impl<S: BucketStore> ShardedMIndex<S> {
         }))
     }
 
-    /// Scatter-gather for a whole k-NN batch in **one** fan-out pass: each
-    /// shard worker opens every query's cursor under a single guard
-    /// acquisition (instead of `batch × shards` lock crossings), then the
-    /// coordinator drains each query's frontier independently. One result
-    /// slot per query, in request order; a failing query (first failing
-    /// shard, deterministic) occupies only its own slot.
-    pub fn batch_knn_candidates(
-        &self,
-        queries: &[(PromiseEvaluator, usize)],
-    ) -> Vec<Result<RankedCandidates, MIndexError>> {
-        self.open_batch_knn(queries)
-            .into_iter()
-            .map(|opened| opened.and_then(|(cursors, cap)| self.drain(cursors, cap)))
-            .collect()
-    }
-
-    /// The scatter half of [`Self::batch_knn_candidates`]: every query's
-    /// per-shard cursors opened in **one** fan-out pass, one slot per
-    /// query in request order (a failing query occupies only its own
-    /// slot). Each slot carries the owned cursors plus that query's
-    /// global drain cap, ready for [`Self::drain`].
+    /// The scatter half of a whole k-NN batch in **one** fan-out pass:
+    /// each shard worker opens every query's cursor under a single guard
+    /// acquisition (instead of `batch × shards` lock crossings). One slot
+    /// per query in request order, ready for [`Self::drain`]; a failing
+    /// query (first failing shard, deterministic) occupies only its own
+    /// slot.
     pub fn open_batch_knn(
         &self,
         queries: &[(PromiseEvaluator, usize)],
-    ) -> Vec<Result<OpenedFrontier, MIndexError>> {
+    ) -> Vec<Result<Vec<CandidateCursor>, MIndexError>> {
         // Per shard: one cursor per query. The closure itself cannot fail —
         // per-query errors stay in their slots — so a fan-out-level error
         // only arises from a worker panic and poisons the whole batch.
@@ -443,7 +404,7 @@ impl<S: BucketStore> ShardedMIndex<S> {
         }
         queries
             .iter()
-            .map(|&(_, cand_size)| {
+            .map(|_| {
                 let mut cursors = Vec::with_capacity(shard_iters.len());
                 let mut failed = None;
                 for it in &mut shard_iters {
@@ -459,15 +420,10 @@ impl<S: BucketStore> ShardedMIndex<S> {
                         }
                     }
                 }
-                if let Some(e) = failed {
-                    return Err(e);
+                match failed {
+                    Some(e) => Err(e),
+                    None => Ok(cursors),
                 }
-                let cap = if cand_size == FIRST_CELL_ONLY {
-                    None
-                } else {
-                    Some(cand_size)
-                };
-                Ok((cursors, cap))
             })
             .collect()
     }

@@ -13,18 +13,16 @@
 //!   wire lower bound until `cand_size` candidates are pulled globally
 //!   ([`merge::drain_frontier`]) — per-shard generation work drops toward
 //!   `cand_size / N` instead of every shard materializing a full list.
-//! * [`ShardedCloudServer`] — speaks the **existing wire protocol
-//!   unchanged**, so the unmodified `EncryptedClient` (including lazy
-//!   refinement and phase-2 `FetchObjects`) works against it byte for
-//!   byte. Phase-2 fetches are routed to the owning shard through a
-//!   shard-aware id map.
+//! * [`ShardedCloudServer`] — `simcloud_core`'s one server front end over
+//!   a [`ShardedMIndex`] backend, so it speaks the **existing wire
+//!   protocol unchanged** and the unmodified `EncryptedClient` (including
+//!   lazy refinement and phase-2 `FetchObjects`) works against it byte
+//!   for byte. Deploy it with the core helpers (`client_for`,
+//!   `simcloud_transport::serve_tcp_shared`). Phase-2 fetches are routed
+//!   to the owning shard through a shard-aware id map.
 //! * [`ShardRouter`] — pluggable placement: [`HashRouter`] (uniform by id)
 //!   or [`PivotRouter`] (nearest global pivot — a coarse Voronoi partition
 //!   of the metric space, cf. distributed metric indexes like DIMS).
-//!
-//! Deployment helpers mirror `simcloud_core::cloud`: in-process
-//! ([`sharded_in_process`], [`client_for_sharded`]) and concurrent TCP
-//! ([`serve_tcp_concurrent_sharded`], [`over_tcp_sharded`]).
 //!
 //! **Exactness.** Range queries return byte-identical answers to a single
 //! index: each true result lives in exactly one shard and survives that
@@ -38,19 +36,23 @@
 
 #![warn(missing_docs)]
 
-pub mod deploy;
 pub mod index;
 pub mod merge;
 pub mod router;
 pub mod server;
 pub mod telemetry;
 
-pub use deploy::{
-    client_for_sharded, client_for_sharded_with_model, memory_stores, over_tcp_sharded,
-    serve_tcp_concurrent_sharded, serve_tcp_concurrent_sharded_with, sharded_in_process,
-    ShardedInProcessCloud, SharedShardedCloud,
-};
-pub use index::{ShardedMIndex, ShardedShape};
+pub use index::ShardedMIndex;
 pub use router::{HashRouter, PivotRouter, ShardRouter};
 pub use server::ShardedCloudServer;
+/// The front-end configuration [`ShardedCloudServer::with_config`] takes.
+pub use simcloud_core::ServerConfig;
 pub use telemetry::ShardTiming;
+
+/// `n` fresh in-memory stores (the common sharded test and bench
+/// deployment).
+pub fn memory_stores(n: usize) -> Vec<simcloud_storage::MemoryStore> {
+    (0..n)
+        .map(|_| simcloud_storage::MemoryStore::new())
+        .collect()
+}

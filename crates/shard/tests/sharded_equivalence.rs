@@ -24,10 +24,7 @@ use simcloud_core::{
 };
 use simcloud_metric::{Metric, ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, RoutingStrategy};
-use simcloud_shard::{
-    client_for_sharded, memory_stores, HashRouter, PivotRouter, ShardRouter, ShardedCloudServer,
-    SharedShardedCloud,
-};
+use simcloud_shard::{memory_stores, HashRouter, PivotRouter, ShardRouter, ShardedCloudServer};
 use simcloud_storage::MemoryStore;
 
 /// Random data with deliberate duplicates so k-th-distance ties are common
@@ -94,7 +91,7 @@ fn build_twins(
     )
     .with_rng_seed(seed ^ 1);
     owner_single.insert_bulk(&objects).unwrap();
-    let mut owner_sharded = client_for_sharded(
+    let mut owner_sharded = client_for(
         key.clone(),
         L2,
         Arc::clone(&sharded),
@@ -110,7 +107,7 @@ fn build_twins(
     }
 }
 
-fn single_client(t: &Twins, seed: u64) -> SharedCloud<L2, MemoryStore> {
+fn single_client(t: &Twins, seed: u64) -> SharedCloud<L2, CloudServer<MemoryStore>> {
     client_for(
         t.key.clone(),
         L2,
@@ -120,8 +117,8 @@ fn single_client(t: &Twins, seed: u64) -> SharedCloud<L2, MemoryStore> {
     .with_rng_seed(seed)
 }
 
-fn sharded_client(t: &Twins, seed: u64) -> SharedShardedCloud<L2, MemoryStore> {
-    client_for_sharded(
+fn sharded_client(t: &Twins, seed: u64) -> SharedCloud<L2, ShardedCloudServer<MemoryStore>> {
+    client_for(
         t.key.clone(),
         L2,
         Arc::clone(&t.sharded),

@@ -9,9 +9,8 @@ use rand::{Rng, SeedableRng};
 use simcloud_core::{connect_tcp, ClientConfig, SecretKey};
 use simcloud_metric::{ObjectId, PivotSelection, Vector, L2};
 use simcloud_mindex::{MIndexConfig, RoutingStrategy};
-use simcloud_shard::{
-    memory_stores, over_tcp_sharded, serve_tcp_concurrent_sharded, HashRouter, ShardedCloudServer,
-};
+use simcloud_shard::{memory_stores, HashRouter, ShardedCloudServer};
+use simcloud_transport::serve_tcp_shared;
 
 fn data(n: usize, dim: usize, seed: u64) -> Vec<Vector> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -33,15 +32,11 @@ fn config(pivots: usize) -> MIndexConfig {
 fn sharded_over_tcp_round_trip() {
     let vectors = data(60, 3, 42);
     let (key, _) = SecretKey::generate(&vectors, 4, &L2, PivotSelection::Random, 7);
-    let (mut client, handle) = over_tcp_sharded(
-        key,
-        L2,
-        config(4),
-        Box::new(HashRouter),
-        memory_stores(4),
-        ClientConfig::distances(),
-    )
-    .unwrap();
+    let server = Arc::new(
+        ShardedCloudServer::new(config(4), Box::new(HashRouter), memory_stores(4)).unwrap(),
+    );
+    let handle = serve_tcp_shared(server).unwrap();
+    let mut client = connect_tcp(key, L2, handle.addr(), ClientConfig::distances()).unwrap();
     let objects: Vec<(ObjectId, Vector)> = vectors
         .iter()
         .enumerate()
@@ -70,7 +65,7 @@ fn concurrent_tcp_inserts_and_searches_against_shards() {
     let server = Arc::new(
         ShardedCloudServer::new(config(4), Box::new(HashRouter), memory_stores(4)).unwrap(),
     );
-    let handle = serve_tcp_concurrent_sharded(Arc::clone(&server)).unwrap();
+    let handle = serve_tcp_shared(Arc::clone(&server)).unwrap();
     let addr = handle.addr();
 
     // Seed the index so searches always have data.
@@ -134,7 +129,7 @@ fn sharded_batch_with_malformed_subquery_over_tcp() {
     let server = Arc::new(
         ShardedCloudServer::new(config(4), Box::new(HashRouter), memory_stores(3)).unwrap(),
     );
-    let handle = serve_tcp_concurrent_sharded(Arc::clone(&server)).unwrap();
+    let handle = serve_tcp_shared(Arc::clone(&server)).unwrap();
     let mut owner = connect_tcp(key, L2, handle.addr(), ClientConfig::distances()).unwrap();
     let objects: Vec<(ObjectId, Vector)> = vectors
         .iter()

@@ -23,10 +23,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use simcloud::core::connect_tcp;
 use simcloud::core::protocol::{Request, Response};
 use simcloud::prelude::*;
-use simcloud::shard::serve_tcp_concurrent_sharded;
 use simcloud::transport::{TcpTransport, Transport};
 
 /// Keyless monitoring connection: short deadlines, no retries — an ops
@@ -97,7 +95,7 @@ fn main() {
     let server = Arc::new(
         ShardedCloudServer::new(cfg, Box::new(HashRouter), memory_stores(2)).expect("valid config"),
     );
-    let handle = serve_tcp_concurrent_sharded(Arc::clone(&server)).expect("tcp server");
+    let handle = serve_tcp_shared(Arc::clone(&server)).expect("tcp server");
     let addr = handle.addr();
     println!("similarity cloud (2 shards) listening on {addr}\n");
 

@@ -17,9 +17,7 @@
 
 use std::sync::Arc;
 
-use simcloud::core::{connect_tcp, serve_tcp_concurrent, CloudServer};
 use simcloud::prelude::*;
-use simcloud::shard::{memory_stores, serve_tcp_concurrent_sharded};
 
 fn main() {
     let dataset = simcloud::datasets::yeast_like(17, Some(1200));
@@ -32,7 +30,7 @@ fn main() {
     let sharded = Arc::new(
         ShardedCloudServer::new(cfg, Box::new(HashRouter), memory_stores(4)).expect("valid config"),
     );
-    let handle = serve_tcp_concurrent_sharded(Arc::clone(&sharded)).expect("tcp server");
+    let handle = serve_tcp_shared(Arc::clone(&sharded)).expect("tcp server");
     println!(
         "sharded similarity cloud listening on {} ({} shards, {} router)",
         handle.addr(),
@@ -42,7 +40,7 @@ fn main() {
 
     // A single-index twin over the same data for the identity check.
     let single = Arc::new(CloudServer::new(cfg, MemoryStore::new()).expect("valid config"));
-    let single_handle = serve_tcp_concurrent(Arc::clone(&single)).expect("tcp server");
+    let single_handle = serve_tcp_shared(Arc::clone(&single)).expect("tcp server");
 
     // Four owner connections outsource disjoint quarters of the collection
     // concurrently — each insert takes only its target shard's write lock.

@@ -18,7 +18,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use simcloud::core::{connect_tcp, connect_tcp_with, serve_tcp_concurrent_with, CloudServer};
 use simcloud::prelude::*;
 use simcloud::transport::Transport;
 
@@ -36,7 +35,7 @@ fn main() {
     // timeout that reaps silent connections, a connection cap that sheds
     // excess load with a typed refusal instead of queueing it.
     let server = Arc::new(CloudServer::new(cfg, MemoryStore::new()).expect("valid config"));
-    let handle = serve_tcp_concurrent_with(
+    let handle = serve_tcp_shared_with(
         Arc::clone(&server),
         ServeOptions {
             read_timeout: Some(Duration::from_secs(10)),

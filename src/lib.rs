@@ -63,19 +63,19 @@ pub use simcloud_datasets as datasets;
 /// Convenience prelude with the most common types.
 pub mod prelude {
     pub use simcloud_core::{
-        connect_tcp_with, in_process, over_tcp, ClientConfig, ClientError, CostReport,
-        DistanceTransform, EncryptedClient, SecretKey,
+        client_for, connect_tcp, connect_tcp_with, in_process, over_tcp, ClientConfig, ClientError,
+        CloudServer, CostReport, DistanceTransform, EncryptedClient, SecretKey, ServerConfig,
     };
     pub use simcloud_metric::{
         CombinedMetric, Lp, Metric, ObjectId, PivotSelection, Vector, L1, L2,
     };
     pub use simcloud_mindex::{recall, MIndexConfig, PlainMIndex, RoutingStrategy};
-    pub use simcloud_shard::{
-        client_for_sharded, memory_stores, sharded_in_process, HashRouter, PivotRouter,
-        ShardedCloudServer,
-    };
+    pub use simcloud_shard::{memory_stores, HashRouter, PivotRouter, ShardedCloudServer};
     pub use simcloud_storage::{DiskStore, DiskStoreOptions, MemoryStore};
-    pub use simcloud_transport::{RetryPolicy, ServeOptions, TcpClientConfig, TransportError};
+    pub use simcloud_transport::{
+        serve_tcp_shared, serve_tcp_shared_with, RetryPolicy, ServeOptions, TcpClientConfig,
+        TransportError,
+    };
 }
 
 #[cfg(test)]
